@@ -47,9 +47,12 @@ bench-smoke:
 
 # Fuzz smoke over the containment contract: SafeOptimize must never
 # panic and must always return a structurally valid program, whatever
-# the input and option combination.
+# the input and option combination. Then the raw-request alias memo:
+# for any name, lang, options and body, pdced's answer through the
+# alias must equal its answer through parsing, 400s included.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzRequestPreKey -fuzztime 10s ./internal/server
 
 # Telemetry smoke: optimize the corpus with all collectors on and
 # validate every report against the golden schema (in-process via the

@@ -7,7 +7,8 @@
 // cluster client — consistent-hash affinity, health ejection, bounded
 // retry, and (with -hedge) hedged requests — and its report is the
 // pool's own view of the run: throughput, latency percentiles,
-// per-replica attempt and failure counts, affinity hit rate.
+// per-replica attempt and failure counts, affinity hit rate, and how
+// many affinity keys the pool's alias memo supplied without a parse.
 //
 // Usage:
 //
@@ -143,8 +144,8 @@ func run(ctx context.Context, cfg loadConfig, out io.Writer) error {
 		time.Duration(snap.P50NS).Round(time.Microsecond),
 		time.Duration(snap.P95NS).Round(time.Microsecond),
 		time.Duration(snap.MaxNS).Round(time.Microsecond))
-	fmt.Fprintf(out, "affinity hit rate %.3f, failovers %d, hedges %d (won %d)\n",
-		snap.AffinityHitRate, snap.Failovers, snap.Hedges, snap.HedgesWon)
+	fmt.Fprintf(out, "affinity hit rate %.3f, failovers %d, hedges %d (won %d), key alias hits %d misses %d\n",
+		snap.AffinityHitRate, snap.Failovers, snap.Hedges, snap.HedgesWon, snap.KeyAliasHits, snap.KeyAliasMisses)
 	bases := make([]string, 0, len(snap.Replicas))
 	for base := range snap.Replicas {
 		bases = append(bases, base)

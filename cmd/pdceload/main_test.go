@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -46,5 +47,11 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	if !strings.Contains(report, "affinity hit rate 1.000") {
 		t.Fatalf("healthy ring should route every request to its home:\n%s", report)
+	}
+	// 8 programs over 300ms: past each program's first requests (four
+	// workers may race on one), requests are keyed through the pool's
+	// alias memo.
+	if !regexp.MustCompile(`key alias hits [1-9]\d* misses ([89]|[1-3]\d)\n`).MatchString(report) {
+		t.Fatalf("repeated programs should be keyed through the alias memo:\n%s", report)
 	}
 }

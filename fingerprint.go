@@ -2,6 +2,7 @@ package pdce
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -20,8 +21,10 @@ import (
 // result cache on exactly this property.
 
 // cacheKeyVersion is bumped whenever the canonical rendering or the
-// option fingerprint changes meaning, so stale disk-spill entries from
-// older builds can never be served.
+// option fingerprint changes meaning. Everything addressed by a key
+// derived from it is isolated by it: disk-spill entries, shared L2
+// store blobs (via CacheKeyVersion), and raw-request pre-keys
+// (RequestPreKey), so nothing an older build computed can be served.
 const cacheKeyVersion = "pdce-cache-v1"
 
 // CacheKeyVersion exposes the cache-key format version. Fleet-shared
@@ -74,4 +77,36 @@ func (p *Program) CacheKey(o Options) string {
 	io.WriteString(h, "\n")
 	io.WriteString(h, p.g.Format())
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// RequestPreKey digests one raw request — the bytes exactly as sent,
+// before any parsing — into an alias for its canonical CacheKey. It is
+// a SHA-256 over length-prefixed fields: cacheKeyVersion, the options
+// fingerprint, the explain variable, the language (as given, else
+// DetectLang), the program name, and the body.
+//
+// The pre-key is only an alias: it is never a cache or store address.
+// Whitespace and comment variants of one program get distinct
+// pre-keys that alias the same CacheKey. Everything that decides the
+// parse or the response is hashed, so a memo from pre-key to the
+// CacheKey a successful parse produced (pdce.Pool and pdced keep
+// bounded ones) lets a byte-identical resubmission skip parsing and
+// canonical re-rendering, and still find the very entry a parse would.
+func RequestPreKey(name, lang, explain string, o Options, body string) [sha256.Size]byte {
+	return requestPreKey(cacheKeyVersion, name, lang, explain, o, body)
+}
+
+func requestPreKey(version, name, lang, explain string, o Options, body string) [sha256.Size]byte {
+	if lang == "" {
+		lang = DetectLang(body)
+	}
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	for _, f := range [...]string{version, o.Fingerprint(), explain, lang, name, body} {
+		h.Write(binary.AppendUvarint(n[:0], uint64(len(f))))
+		io.WriteString(h, f)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }

@@ -29,6 +29,8 @@ type ClientStats struct {
 	affinityHits  atomic.Int64
 	affinityMiss  atomic.Int64
 	parseFallback atomic.Int64
+	aliasHits     atomic.Int64
+	aliasMisses   atomic.Int64
 
 	latMu   sync.Mutex
 	lat     []int64 // ring buffer of successful request latencies, ns
@@ -145,6 +147,20 @@ func (s *ClientStats) AddParseFallback() {
 	}
 }
 
+// AddKeyAliasHit counts an affinity key found in the pool's alias memo
+// (no client-side parse); AddKeyAliasMiss one that had to be computed.
+func (s *ClientStats) AddKeyAliasHit() {
+	if s != nil {
+		s.aliasHits.Add(1)
+	}
+}
+
+func (s *ClientStats) AddKeyAliasMiss() {
+	if s != nil {
+		s.aliasMisses.Add(1)
+	}
+}
+
 // RecordLatency feeds one successful request's end-to-end duration
 // (including retries and hedging) into the percentile reservoir.
 func (s *ClientStats) RecordLatency(d time.Duration) {
@@ -201,6 +217,10 @@ type ClientSnapshot struct {
 	// ParseFallbacks counts affinity keys derived from raw bytes
 	// because the client-side parse failed.
 	ParseFallbacks int64 `json:"parse_fallbacks"`
+	// KeyAliasHits/Misses count affinity keys found in the raw-request
+	// alias memo versus computed by parsing.
+	KeyAliasHits   int64 `json:"key_alias_hits"`
+	KeyAliasMisses int64 `json:"key_alias_misses"`
 
 	// Successful-request latency over the most recent window
 	// (nearest-rank percentiles); Samples is the lifetime count.
@@ -223,6 +243,8 @@ func (s *ClientStats) Snapshot() ClientSnapshot {
 		AffinityHits:   s.affinityHits.Load(),
 		AffinityMisses: s.affinityMiss.Load(),
 		ParseFallbacks: s.parseFallback.Load(),
+		KeyAliasHits:   s.aliasHits.Load(),
+		KeyAliasMisses: s.aliasMisses.Load(),
 	}
 	if total := snap.AffinityHits + snap.AffinityMisses; total > 0 {
 		snap.AffinityHitRate = float64(snap.AffinityHits) / float64(total)

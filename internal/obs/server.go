@@ -20,6 +20,8 @@ import (
 // optimized (Optimizes — the only counter whose increment means solver
 // work happened). Panics and Degraded track the containment layer's
 // outcomes; ParseFailures the inputs that never reached the optimizer.
+// KeyAliasHits/Misses classify how each request's cache key was found:
+// through the raw-request alias memo, or by parsing.
 type ServerStats struct {
 	requests      atomic.Int64
 	batchRequests atomic.Int64
@@ -32,6 +34,8 @@ type ServerStats struct {
 	panics        atomic.Int64
 	degraded      atomic.Int64
 	parseFailures atomic.Int64
+	aliasHits     atomic.Int64
+	aliasMisses   atomic.Int64
 
 	mu      sync.Mutex
 	lat     []int64 // ring buffer of request latencies, ns
@@ -112,6 +116,21 @@ func (s *ServerStats) AddParseFailure() {
 	}
 }
 
+// AddKeyAliasHit counts a request whose cache key came from the alias
+// memo (no parse, no canonical re-rendering); AddKeyAliasMiss one that
+// had to be parsed to find it.
+func (s *ServerStats) AddKeyAliasHit() {
+	if s != nil {
+		s.aliasHits.Add(1)
+	}
+}
+
+func (s *ServerStats) AddKeyAliasMiss() {
+	if s != nil {
+		s.aliasMisses.Add(1)
+	}
+}
+
 // RecordLatency feeds one served request's wall-clock duration into
 // the percentile reservoir (a fixed ring of the most recent samples).
 func (s *ServerStats) RecordLatency(d time.Duration) {
@@ -165,6 +184,10 @@ type ServerSnapshot struct {
 	Panics        int64 `json:"panics"`
 	Degraded      int64 `json:"degraded"`
 	ParseFailures int64 `json:"parse_failures"`
+	// Key resolution: requests keyed through the raw-request alias
+	// memo versus by parsing.
+	KeyAliasHits   int64 `json:"key_alias_hits"`
+	KeyAliasMisses int64 `json:"key_alias_misses"`
 
 	// Request latency over the most recent window (nearest-rank
 	// percentiles); Samples is the lifetime sample count.
@@ -181,17 +204,19 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 		return ServerSnapshot{}
 	}
 	snap := ServerSnapshot{
-		Requests:      s.requests.Load(),
-		BatchRequests: s.batchRequests.Load(),
-		Optimizes:     s.optimizes.Load(),
-		CacheHits:     s.cacheHits.Load(),
-		CacheMisses:   s.cacheMisses.Load(),
-		Dedups:        s.dedups.Load(),
-		ShedQueueFull: s.shedQueueFull.Load(),
-		ShedDraining:  s.shedDraining.Load(),
-		Panics:        s.panics.Load(),
-		Degraded:      s.degraded.Load(),
-		ParseFailures: s.parseFailures.Load(),
+		Requests:       s.requests.Load(),
+		BatchRequests:  s.batchRequests.Load(),
+		Optimizes:      s.optimizes.Load(),
+		CacheHits:      s.cacheHits.Load(),
+		CacheMisses:    s.cacheMisses.Load(),
+		Dedups:         s.dedups.Load(),
+		ShedQueueFull:  s.shedQueueFull.Load(),
+		ShedDraining:   s.shedDraining.Load(),
+		Panics:         s.panics.Load(),
+		Degraded:       s.degraded.Load(),
+		ParseFailures:  s.parseFailures.Load(),
+		KeyAliasHits:   s.aliasHits.Load(),
+		KeyAliasMisses: s.aliasMisses.Load(),
 	}
 	if lookups := snap.CacheHits + snap.CacheMisses; lookups > 0 {
 		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pdce"
+	"pdce/internal/obs"
 )
 
 // The wire reference must not drift from the implementation: every
@@ -90,6 +91,22 @@ func TestDocsCoverMetricsFields(t *testing.T) {
 	for f := range fields {
 		if !strings.Contains(doc, "`"+f+"`") {
 			t.Errorf("/metrics field %q is emitted by pdce.ServerMetrics but not documented in docs/API.md", f)
+		}
+	}
+}
+
+// The pool's counters have no HTTP surface, but they are JSON-tagged
+// and documented beside the server's, and must not drift either.
+func TestDocsCoverClientStatsFields(t *testing.T) {
+	fields := map[string]bool{}
+	jsonTags(reflect.TypeOf(obs.ClientSnapshot{}), fields)
+	if len(fields) < 10 {
+		t.Fatalf("found only %d client stats fields — the reflection walk no longer reaches the snapshot type", len(fields))
+	}
+	doc := docsAPI(t)
+	for f := range fields {
+		if !strings.Contains(doc, "`"+f+"`") {
+			t.Errorf("client stats field %q is emitted by obs.ClientSnapshot but not documented in docs/API.md", f)
 		}
 	}
 }

@@ -37,6 +37,7 @@ import (
 
 	"pdce"
 	"pdce/internal/faultinject"
+	"pdce/internal/keymemo"
 	"pdce/internal/obs"
 	"pdce/internal/store"
 )
@@ -189,12 +190,13 @@ func (c Config) withDefaults() Config {
 // Server is one pdced instance. Construct with New, expose with
 // Handler, stop with Drain.
 type Server struct {
-	cfg    Config
-	cache  *Cache
-	adm    *Admission
-	stats  *obs.ServerStats
-	queue  *Queue          // nil when Config.QueueDir is empty
-	traces *obs.TraceStore // nil when Config.TraceCapacity < 0
+	cfg     Config
+	cache   *Cache
+	aliases *keymemo.Memo // raw-request pre-key -> canonical key
+	adm     *Admission
+	stats   *obs.ServerStats
+	queue   *Queue          // nil when Config.QueueDir is empty
+	traces  *obs.TraceStore // nil when Config.TraceCapacity < 0
 
 	// Shared L2 store state, nil/zero when Config.Store is nil.
 	storeStats *obs.StoreStats
@@ -221,6 +223,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
+		aliases: keymemo.New(aliasEntries(cfg.CacheEntries)),
 		adm:     NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		stats:   &obs.ServerStats{},
 		flight:  make(map[string]*flightCall),
@@ -422,14 +425,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "request"
 	}
-	prog, err := parseProgram(string(src), name, r.URL.Query().Get("lang"))
+	req := keyRequest{source: string(src), name: name, lang: r.URL.Query().Get("lang"), o: o, explain: explain}
+	key, prog, err := s.resolveKey(sp, req)
 	if err != nil {
-		s.stats.AddParseFailure()
-		s.httpError(w, http.StatusBadRequest, "parse", err.Error(), "")
+		s.parseFailed(w, err)
 		return
 	}
 
-	key := requestKey(prog, o, explain)
 	csp := sp.Child("server.cache")
 	body, hit := s.cache.Get(key)
 	if hit {
@@ -494,6 +496,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			release()
 		}
 	}()
+
+	if prog == nil {
+		// Keyed through the alias, and a solve is needed after all: only
+		// now is the program parsed. The same bytes parsed before, so
+		// this cannot fail short of a bug.
+		if prog, err = s.parse(sp, req, "hit"); err != nil {
+			s.parseFailed(w, err)
+			return
+		}
+	}
 
 	asp := sp.Child("server.admission")
 	if err := s.adm.Acquire(r.Context()); err != nil {
@@ -754,16 +766,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "request"
 	}
-	lang := r.URL.Query().Get("lang")
-	prog, err := parseProgram(string(src), name, lang)
+	sp := obs.SpanFromContext(r.Context())
+	req := keyRequest{source: string(src), name: name, lang: r.URL.Query().Get("lang"), o: o}
+	key, prog, err := s.resolveKey(sp, req)
 	if err != nil {
-		s.stats.AddParseFailure()
-		s.httpError(w, http.StatusBadRequest, "parse", err.Error(), "")
+		s.parseFailed(w, err)
 		return
 	}
-
-	sp := obs.SpanFromContext(r.Context())
-	key := requestKey(prog, o, "")
 	if _, ok := s.cache.Get(key); ok {
 		// Already computed: answer done without consuming queue space.
 		s.stats.AddCacheHit()
@@ -772,7 +781,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	state, dup, err := s.queue.Submit(key, prog.Name(), string(src), lang, o, sp, requestIDFrom(r.Context()))
+	if prog == nil {
+		if prog, err = s.parse(sp, req, "hit"); err != nil {
+			s.parseFailed(w, err)
+			return
+		}
+	}
+	state, dup, err := s.queue.Submit(key, prog.Name(), req.source, req.lang, o, sp, requestIDFrom(r.Context()))
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "queue",
 			"submission not accepted: "+err.Error(), "")
@@ -896,6 +911,12 @@ func (s *Server) serve(w http.ResponseWriter, body []byte, state pdce.CacheState
 	w.Write(body)
 }
 
+// parseFailed answers 400 for a body that does not parse.
+func (s *Server) parseFailed(w http.ResponseWriter, err error) {
+	s.stats.AddParseFailure()
+	s.httpError(w, http.StatusBadRequest, "parse", err.Error(), "")
+}
+
 // httpError writes the structured error body (pdce.ServerError wire
 // shape) plus Retry-After on shedding statuses.
 func (s *Server) httpError(w http.ResponseWriter, status int, kind, msg, bundle string) {
@@ -960,6 +981,69 @@ func parseProgram(src, name, lang string) (*pdce.Program, error) {
 	default:
 		return nil, fmt.Errorf("unknown lang %q (want cfg or while)", lang)
 	}
+}
+
+// minAliasEntries is the floor of the alias memo's bound.
+const minAliasEntries = 1024
+
+// aliasEntries sizes the alias memo from the result cache's bound. An
+// alias costs about 200 bytes against a cached body's several
+// kilobytes, so it can afford to outlive its L1 entry: an L2 hit is
+// then keyed without a parse too, and whitespace variants of one
+// program each keep their own alias. The floor keeps a small L1's
+// working set aliased.
+func aliasEntries(cacheEntries int) int {
+	return max(4*cacheEntries, minAliasEntries)
+}
+
+// keyRequest is what decides one request's cache key: the raw body
+// and the query parameters hashed into its pre-key.
+type keyRequest struct {
+	source, name, lang string
+	o                  pdce.Options
+	explain            string
+}
+
+// resolveKey finds the request's canonical cache key. A byte-identical
+// resubmission is found in the alias memo by its pre-key and returns a
+// nil program: the caller parses (s.parse) only if it must solve.
+// Otherwise the body is parsed and keyed, and the alias recorded; a
+// body that does not parse returns the parse error and is never
+// aliased. The server.key span covers the lookup and, on a miss, the
+// server.parse span and canonical keying beneath it.
+func (s *Server) resolveKey(sp *obs.Span, req keyRequest) (string, *pdce.Program, error) {
+	ksp := sp.Child("server.key")
+	defer ksp.End()
+	pre := pdce.RequestPreKey(req.name, req.lang, req.explain, req.o, req.source)
+	if key, ok := s.aliases.Get(pre); ok {
+		s.stats.AddKeyAliasHit()
+		ksp.SetAttr("alias", "hit")
+		return key, nil, nil
+	}
+	s.stats.AddKeyAliasMiss()
+	ksp.SetAttr("alias", "miss")
+	prog, err := s.parse(ksp, req, "miss")
+	if err != nil {
+		return "", nil, err
+	}
+	key := requestKey(prog, req.o, req.explain)
+	s.aliases.Put(pre, key)
+	return key, prog, nil
+}
+
+// parse parses the request body under a server.parse span whose alias
+// attribute says how the request was keyed. resolveKey parses on an
+// alias miss; a handler parses after an alias hit only once the
+// request turns out to need a solve.
+func (s *Server) parse(parent *obs.Span, req keyRequest, alias string) (*pdce.Program, error) {
+	psp := parent.Child("server.parse")
+	psp.SetAttr("alias", alias)
+	defer psp.End()
+	prog, err := parseProgram(req.source, req.name, req.lang)
+	if err != nil {
+		psp.SetError("parse")
+	}
+	return prog, err
 }
 
 // requestKey derives the cache key for one request: the program's

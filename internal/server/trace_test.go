@@ -362,6 +362,9 @@ func TestMetricsPromFormat(t *testing.T) {
 		"# TYPE pdce_server_requests gauge",
 		"pdce_server_requests 1",
 		"pdce_server_optimizes 1",
+		"pdce_server_key_alias_hits 0",
+		"pdce_server_key_alias_misses 1",
+		`pdce_traces_stages_count{key="server.key"}`,
 		"pdce_cache_entries",
 		"pdce_traces_kept",
 		`pdce_traces_stages_count{key="server.optimize"}`,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pdce/internal/faultinject"
+	"pdce/internal/keymemo"
 	"pdce/internal/obs"
 )
 
@@ -47,6 +48,7 @@ type Pool struct {
 	ring    []ringSlot
 	stats   *obs.ClientStats
 	jitter  *lockedRand
+	aliases *keymemo.Memo // raw-request pre-key -> affinity key
 
 	// sleep is the backoff clock, injectable so retry tests observe
 	// requested delays instead of serving them in real time.
@@ -149,11 +151,12 @@ func NewPool(replicas []string, opts PoolOptions) (*Pool, error) {
 		seed = time.Now().UnixNano()
 	}
 	p := &Pool{
-		opts:   opts,
-		stats:  &obs.ClientStats{},
-		jitter: newLockedRand(seed),
-		sleep:  sleepCtx,
-		stop:   make(chan struct{}),
+		opts:    opts,
+		stats:   &obs.ClientStats{},
+		jitter:  newLockedRand(seed),
+		aliases: keymemo.New(poolAliasEntries),
+		sleep:   sleepCtx,
+		stop:    make(chan struct{}),
 	}
 	seen := make(map[string]bool, len(replicas))
 	for _, r := range replicas {
@@ -234,13 +237,19 @@ func (p *Pool) candidates(key string) []*member {
 	return out
 }
 
+// poolAliasEntries bounds the pool's alias memo. An alias costs about
+// 200 bytes, so a full memo stays near 1 MiB.
+const poolAliasEntries = 4096
+
 // affinityKey computes the routing key for one request: the same
 // content address the server caches under (Program.CacheKey over the
 // parsed, canonically re-rendered program, plus the explain variable
-// when one is requested). Unparseable sources fall back to hashing the
-// raw bytes — the server will reject them, but they still route
-// deterministically.
-func (p *Pool) affinityKey(name, source string, o RequestOptions) string {
+// when one is requested). A byte-identical resubmission finds it in
+// the alias memo by its RequestPreKey without parsing. Unparseable
+// sources fall back to hashing the raw bytes — the server will reject
+// them, but they still route deterministically — and are never
+// memoised. sp parents the client.key span.
+func (p *Pool) affinityKey(sp *obs.Span, name, source string, o RequestOptions) string {
 	if name == "" {
 		name = "request" // the server's default, so keys match its cache keys
 	}
@@ -248,6 +257,17 @@ func (p *Pool) affinityKey(name, source string, o RequestOptions) string {
 	if lang == "" {
 		lang = DetectLang(source)
 	}
+	opt := Options{Mode: o.Mode, MaxRounds: o.MaxRounds, Telemetry: o.Telemetry, Trace: o.Trace || o.Explain != ""}
+	ksp := sp.Child("client.key")
+	defer ksp.End()
+	pre := RequestPreKey(name, lang, o.Explain, opt, source)
+	if key, ok := p.aliases.Get(pre); ok {
+		p.stats.AddKeyAliasHit()
+		ksp.SetAttr("alias", "hit")
+		return key
+	}
+	p.stats.AddKeyAliasMiss()
+	ksp.SetAttr("alias", "miss")
 	var prog *Program
 	var err error
 	switch lang {
@@ -261,15 +281,12 @@ func (p *Pool) affinityKey(name, source string, o RequestOptions) string {
 		sum := sha256.Sum256([]byte(lang + "\x00" + name + "\x00" + source))
 		return hex.EncodeToString(sum[:])
 	}
-	opt := Options{Mode: o.Mode, MaxRounds: o.MaxRounds, Telemetry: o.Telemetry, Trace: o.Trace}
-	if o.Explain != "" {
-		opt.Trace = true
-	}
 	key := prog.CacheKey(opt)
 	if o.Explain != "" {
 		sum := sha256.Sum256([]byte(key + "|explain=" + o.Explain))
 		key = hex.EncodeToString(sum[:])
 	}
+	p.aliases.Put(pre, key)
 	return key
 }
 
@@ -306,14 +323,10 @@ func (p *Pool) Optimize(ctx context.Context, name, source string, o RequestOptio
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := p.affinityKey(name, source, o)
-	cands := p.candidates(key)
-	home := cands[0]
-	start := time.Now()
 	// The root span joins any caller-attached trace (e.g. a batch
-	// driver tracing its own loop) and fathers one child per wire
-	// attempt. It is nil — and every operation on it free — when
-	// PoolOptions.Traces is unset.
+	// driver tracing its own loop) and fathers the client.key span and
+	// one child per wire attempt. It is nil — and every operation on it
+	// free — when PoolOptions.Traces is unset.
 	root := p.opts.Traces.StartSpan("client.request", "pool", obs.SpanFromContext(ctx).Context())
 	root.SetAttr("program", name)
 	defer func() {
@@ -322,6 +335,10 @@ func (p *Pool) Optimize(ctx context.Context, name, source string, o RequestOptio
 			root.End()
 		}
 	}()
+	key := p.affinityKey(root, name, source, o)
+	cands := p.candidates(key)
+	home := cands[0]
+	start := time.Now()
 	budget := &reqBudget{left: p.opts.Retry.MaxTotalRequests}
 	var lastErr error
 	for attempt := 0; attempt < p.opts.Retry.MaxAttempts; attempt++ {
@@ -639,8 +656,6 @@ func (p *Pool) Submit(ctx context.Context, name, source string, o RequestOptions
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := p.affinityKey(name, source, o)
-	cands := p.candidates(key)
 	root := p.opts.Traces.StartSpan("client.submit", "pool", obs.SpanFromContext(ctx).Context())
 	root.SetAttr("program", name)
 	defer func() {
@@ -649,6 +664,8 @@ func (p *Pool) Submit(ctx context.Context, name, source string, o RequestOptions
 			root.End()
 		}
 	}()
+	key := p.affinityKey(root, name, source, o)
+	cands := p.candidates(key)
 	budget := &reqBudget{left: p.opts.Retry.MaxTotalRequests}
 	var lastErr error
 	for attempt := 0; attempt < p.opts.Retry.MaxAttempts; attempt++ {

@@ -255,3 +255,86 @@ func TestPoolSubmitPollAcrossReplicas(t *testing.T) {
 		t.Fatalf("PollResult against a non-member: err %v, want unknown-replica", err)
 	}
 }
+
+// The pool keys a byte-identical resubmission through its alias memo,
+// without a client-side parse, and routes it exactly where parsing
+// routed it; the server then answers it through its own alias.
+// Unparseable sources fall back to a raw-byte key every time and are
+// never memoised.
+func TestPoolKeyAlias(t *testing.T) {
+	s, ts := newTestReplica(t)
+	p, err := pdce.NewPool([]string{ts.URL}, pdce.PoolOptions{ProbeInterval: -1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ctx := context.Background()
+	first, _, err := p.Optimize(ctx, "alias", poolTestSource, pdce.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, cs, err := p.Optimize(ctx, "alias", poolTestSource, pdce.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _ := json.Marshal(first)
+	sb, _ := json.Marshal(second)
+	if cs != pdce.CacheHit || string(fb) != string(sb) {
+		t.Fatalf("aliased resubmission: cache %q, byte-identical %v", cs, string(fb) == string(sb))
+	}
+	if c := p.Stats().Snapshot(); c.KeyAliasHits != 1 || c.KeyAliasMisses != 1 {
+		t.Fatalf("pool alias hits/misses %d/%d, want 1/1", c.KeyAliasHits, c.KeyAliasMisses)
+	}
+	if sv := s.Stats().Snapshot(); sv.KeyAliasHits != 1 || sv.KeyAliasMisses != 1 {
+		t.Fatalf("server alias hits/misses %d/%d, want 1/1", sv.KeyAliasHits, sv.KeyAliasMisses)
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, _, err := p.Optimize(ctx, "bad", "x := (", pdce.RequestOptions{}); err == nil {
+			t.Fatal("unparseable source optimized")
+		}
+	}
+	if c := p.Stats().Snapshot(); c.KeyAliasHits != 1 || c.KeyAliasMisses != 3 || c.ParseFallbacks != 2 {
+		t.Fatalf("after two unparseable requests: pool alias hits/misses %d/%d, fallbacks %d; want 1/3/2",
+			c.KeyAliasHits, c.KeyAliasMisses, c.ParseFallbacks)
+	}
+}
+
+// A resubmission's trace alone shows that keying skipped the parse on
+// both sides: client.key and server.key carry alias=hit, and no
+// server.parse span exists. The first request's trace shows the parse.
+func TestPoolKeyAliasSpans(t *testing.T) {
+	_, ts := newTestReplica(t)
+	traces := pdce.NewTraceStore(16, 1.0, 1)
+	p, err := pdce.NewPool([]string{ts.URL}, pdce.PoolOptions{ProbeInterval: -1, Seed: 5, Traces: traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, alias := range []string{"miss", "hit"} {
+		if _, _, err := p.Optimize(context.Background(), "spans", poolTestSource, pdce.RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		id := traces.Summaries(1).Traces[0].TraceID
+		resp, err := http.Get(ts.URL + "/debug/traces/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump pdce.TraceDump
+		err = json.NewDecoder(resp.Body).Decode(&dump)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, sp := range dump.Spans {
+			got[sp.Name] = sp.Attrs["alias"]
+		}
+		if got["client.key"] != alias || got["server.key"] != alias {
+			t.Errorf("request %s: client.key alias=%q, server.key alias=%q", alias, got["client.key"], got["server.key"])
+		}
+		if parse, ok := got["server.parse"]; ok != (alias == "miss") || (ok && parse != "miss") {
+			t.Errorf("request %s: server.parse present=%v alias=%q (spans %v)", alias, ok, parse, spanNameSet(dump.Spans))
+		}
+	}
+}

@@ -228,7 +228,7 @@ func TestHedgeWinsAndLoserIsCancelled(t *testing.T) {
 	source, found := "", false
 	for i := 0; i < 64 && !found; i++ {
 		source = fmt.Sprintf("x := a%d\nout(x)\n", i)
-		found = p.candidates(p.affinityKey("p", source, RequestOptions{}))[0] == slowMember
+		found = p.candidates(p.affinityKey(nil, "p", source, RequestOptions{}))[0] == slowMember
 	}
 	if !found {
 		t.Fatal("could not find a program homed on the slow replica")
@@ -341,7 +341,7 @@ func TestRetryBudgetSkipsHedge(t *testing.T) {
 	source, found := "", false
 	for i := 0; i < 64 && !found; i++ {
 		source = fmt.Sprintf("x := a%d\nout(x)\n", i)
-		found = p.candidates(p.affinityKey("p", source, RequestOptions{}))[0] == slowMember
+		found = p.candidates(p.affinityKey(nil, "p", source, RequestOptions{}))[0] == slowMember
 	}
 	if !found {
 		t.Fatal("could not find a program homed on the slow replica")

@@ -126,8 +126,8 @@ func TestPoolTraceEndToEnd(t *testing.T) {
 		byName[sp.Name] = append(byName[sp.Name], sp)
 	}
 	for _, name := range []string{
-		"client.request", "client.attempt",
-		"server.optimize", "server.admission", "server.cache",
+		"client.request", "client.key", "client.attempt",
+		"server.optimize", "server.key", "server.parse", "server.admission", "server.cache",
 		"solve", "solve.round",
 	} {
 		if len(byName[name]) == 0 {
