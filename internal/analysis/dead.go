@@ -257,18 +257,15 @@ func (p *deadProblem) updateBlock(n *cfg.Node) {
 	}
 }
 
-// updateBlockDelta is updateBlock with a change account: it ORs every
-// variable bit differing between n's previous and new gen/kill masks
-// into changed (oldGen/oldKill are caller scratch) and reports whether
-// anything differed — the incremental solver drops rewritten blocks
-// whose masks came out bit-identical.
-func (p *deadProblem) updateBlockDelta(n *cfg.Node, oldGen, oldKill, changed *bitvec.Vector) bool {
+// updateBlockChanged is updateBlock that also reports whether n's
+// gen/kill masks differ from before (oldGen/oldKill are caller
+// scratch) — the incremental solver drops rewritten blocks whose masks
+// came out bit-identical.
+func (p *deadProblem) updateBlockChanged(n *cfg.Node, oldGen, oldKill *bitvec.Vector) bool {
 	oldGen.CopyFrom(p.gen[n.ID])
 	oldKill.CopyFrom(p.kill[n.ID])
 	p.updateBlock(n)
-	c1 := changed.OrXor(oldGen, p.gen[n.ID])
-	c2 := changed.OrXor(oldKill, p.kill[n.ID])
-	return c1 || c2
+	return !oldGen.Equal(p.gen[n.ID]) || !oldKill.Equal(p.kill[n.ID])
 }
 
 func (p *deadProblem) Bits() int                     { return p.bits }
@@ -312,10 +309,9 @@ type DeadSolver struct {
 	res    DeadResult
 	solved bool
 
-	// Delta-solve state, mirroring DelaySolver's: the changed-bits
-	// mask of one Solve, the before-image scratch backing it, and
-	// the equation-changed subset of the dirty blocks.
-	changed         *bitvec.Vector
+	// Incremental-solve state, mirroring DelaySolver's: the
+	// before-image scratch of the equation-change test and the
+	// equation-changed subset of the dirty blocks.
 	oldGen, oldKill *bitvec.Vector
 	eqDirty         []cfg.NodeID
 	scanStamp       []uint32
@@ -328,7 +324,6 @@ func NewDeadSolver(g *cfg.Graph, vars *ir.VarTable) *DeadSolver {
 	bits := vars.Len()
 	s := &DeadSolver{
 		g: g, prob: prob, solver: dataflow.NewSolver(g, prob),
-		changed: bitvec.New(bits),
 		oldGen:  bitvec.New(bits),
 		oldKill: bitvec.New(bits),
 	}
@@ -346,10 +341,6 @@ func (s *DeadSolver) SetCancel(cancel func() bool) { s.solver.SetCancel(cancel) 
 // SetMetrics installs a telemetry sink recording every solve this
 // solver performs. A nil sink (the default) collects nothing.
 func (s *DeadSolver) SetMetrics(m *obs.SolverMetrics) { s.solver.SetMetrics(m) }
-
-// SetMode selects the underlying solver's execution engine (see
-// dataflow.SolverMode). The default Auto picks per solve.
-func (s *DeadSolver) SetMode(m dataflow.SolverMode) { s.solver.SetMode(m) }
 
 // ArenaStats reports the slab state of the solver's vector arenas (the
 // fixpoint storage plus the gen/kill masks).
@@ -376,15 +367,14 @@ func (s *DeadSolver) Solve(dirty []cfg.NodeID) *DeadResult {
 		// Blocks whose rewrite left their gen/kill masks
 		// bit-identical changed no equation and drop out of the
 		// re-solve.
-		s.changed.ClearAll()
 		eq := s.eqDirty[:0]
 		for _, id := range dirty {
-			if s.prob.updateBlockDelta(s.g.Node(id), s.oldGen, s.oldKill, s.changed) {
+			if s.prob.updateBlockChanged(s.g.Node(id), s.oldGen, s.oldKill) {
 				eq = append(eq, id)
 			}
 		}
 		s.eqDirty = eq
-		sol = s.solver.ResolveDelta(eq, s.changed)
+		sol = s.solver.Resolve(eq)
 	} else {
 		for _, id := range dirty {
 			s.prob.updateBlock(s.g.Node(id))

@@ -54,8 +54,8 @@ func (p *delayProblem) Transfer(n *cfg.Node, in, out *bitvec.Vector) {
 
 // GenKill exposes the transfer in canonical gen/kill form — Table 2's
 // X-DELAYED equation already is one, with the candidate occurrences as
-// gen and the blockades as kill — unlocking the solver's fused dense
-// transfer and the per-pattern sparse engine.
+// gen and the blockades as kill — unlocking the solver's fused
+// transfer.
 func (p *delayProblem) GenKill(n *cfg.Node) (gen, kill *bitvec.Vector) {
 	return p.locals.LocDelayed[n.ID], p.locals.LocBlocked[n.ID]
 }
@@ -159,13 +159,11 @@ type DelaySolver struct {
 
 	scratch *bitvec.Vector // locals sweep scratch
 
-	// Delta-solve state: changed accumulates the pattern bits whose
-	// local predicates moved across the dirty blocks of one Solve
-	// (oldLD/oldLB are the before-images backing the comparison);
-	// eqDirty is the dirty set filtered down to blocks whose
-	// equations actually changed. insStamp/insEpoch dedupe the
-	// restricted insertion-predicate refresh.
-	changed      *bitvec.Vector
+	// Incremental-solve state: oldLD/oldLB are the before-images of
+	// the equation-change test; eqDirty is scratch for the dirty set
+	// filtered down to blocks whose equations actually changed.
+	// insStamp/insEpoch dedupe the restricted insertion-predicate
+	// refresh.
 	oldLD, oldLB *bitvec.Vector
 	eqDirty      []cfg.NodeID
 	insStamp     []uint32
@@ -181,7 +179,6 @@ func NewDelaySolver(g *cfg.Graph, pt *ir.PatternTable) *DelaySolver {
 		Index:    ix,
 		locals:   ix.Locals(g),
 		scratch:  bitvec.New(bits),
-		changed:  bitvec.New(bits),
 		oldLD:    bitvec.New(bits),
 		oldLB:    bitvec.New(bits),
 		insStamp: make([]uint32, g.NumNodes()),
@@ -219,10 +216,6 @@ func (s *DelaySolver) SetMetrics(m *obs.SolverMetrics) {
 	s.solver.SetMetrics(m)
 }
 
-// SetMode selects the underlying solver's execution engine (see
-// dataflow.SolverMode). The default Auto picks per solve.
-func (s *DelaySolver) SetMode(m dataflow.SolverMode) { s.solver.SetMode(m) }
-
 // ArenaStats reports the combined slab state of the solver's vector
 // arenas (the fixpoint solution storage plus the insertion predicates).
 func (s *DelaySolver) ArenaStats() bitvec.ArenaStats {
@@ -250,21 +243,18 @@ func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 	s.solved = true
 	var sol *dataflow.Result
 	if wasSolved {
-		// Recompute the dirty blocks' local predicates with an
-		// exact account of which pattern bits moved. Blocks whose
-		// rewrite left their predicates bit-identical contribute no
-		// equation change and drop out of the re-solve; the solver
-		// uses the accumulated mask to re-solve only the moved bits
-		// when its sparse delta path is eligible.
-		s.changed.ClearAll()
+		// Recompute the dirty blocks' local predicates. Blocks
+		// whose rewrite left their predicates bit-identical
+		// contribute no equation change and drop out of the
+		// re-solve.
 		eq := s.eqDirty[:0]
 		for _, id := range dirty {
-			if s.Index.UpdateBlockDelta(s.locals, s.g.Node(id), s.scratch, s.oldLD, s.oldLB, s.changed) {
+			if s.Index.UpdateBlockChanged(s.locals, s.g.Node(id), s.scratch, s.oldLD, s.oldLB) {
 				eq = append(eq, id)
 			}
 		}
 		s.eqDirty = eq
-		sol = s.solver.ResolveDelta(eq, s.changed)
+		sol = s.solver.Resolve(eq)
 	} else {
 		for _, id := range dirty {
 			s.Index.UpdateBlock(s.locals, s.g.Node(id), s.scratch)
@@ -287,8 +277,8 @@ func (s *DelaySolver) Solve(dirty []cfg.NodeID) *DelayResult {
 // With no touched-set guarantee every block is refreshed; otherwise
 // only the blocks whose inputs could have moved are: a block's
 // N-INSERT/X-INSERT read its own solution and local predicates (the
-// touched set and the equation-changed dirty blocks) and its
-// successors' N-DELAYED (the predecessors of touched blocks).
+// touched set, which includes every equation-changed dirty block) and
+// its successors' N-DELAYED (the predecessors of touched blocks).
 func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 	if touched == nil {
 		computeInserts(s.g, &s.res)
@@ -313,9 +303,6 @@ func (s *DelaySolver) refreshInserts(touched []cfg.NodeID) {
 		for _, p := range n.Preds() {
 			refresh(p)
 		}
-	}
-	for _, id := range s.eqDirty {
-		refresh(s.g.Node(id))
 	}
 }
 

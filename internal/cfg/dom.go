@@ -116,9 +116,8 @@ func (t *DomTree) Dominates(a, b *Node) bool {
 // in reverse postorder) is a true back edge, i.e. its target dominates
 // its source. On a reducible graph a round-robin pass order in reverse
 // postorder converges in O(loop-nesting-depth) sweeps (Hecht/Ullman);
-// the sparse/dense solver selection uses this as its structural gate,
-// since the bound — and the priority worklist's pass guarantee — does
-// not hold for irreducible regions like the paper's Figure 5.
+// the bound — and the priority worklist's pass guarantee — does not
+// hold for irreducible regions like the paper's Figure 5.
 func Reducible(g *Graph) bool {
 	t := BuildDomTree(g)
 	for _, u := range g.nodes {

@@ -59,16 +59,6 @@ type Options struct {
 	// entry), and nothing inside them is eliminated.
 	Hot HotPredicate
 
-	// Solver selects the dataflow execution engine for the
-	// incremental driver's block-level analyses (delayability and
-	// dead variables): dense priority-worklist iteration, per-pattern
-	// sparse propagation, or the default automatic choice by seed
-	// density and graph reducibility. All three produce byte-identical
-	// programs — the equivalence property tests pin this — so the
-	// switch trades time, not results. The reference driver and the
-	// slotwise faint analysis ignore it.
-	Solver dataflow.SolverMode
-
 	// NoIncremental forces the reference driver, which rebuilds the
 	// variable and pattern universes and re-solves every analysis
 	// from scratch each round. The default incremental driver fixes
@@ -319,9 +309,6 @@ func Transform(g *cfg.Graph, opt Options) (*cfg.Graph, Stats, error) {
 // metrics sink — the reference driver's coarse accounting (its solvers
 // live for a single phase, so there is nothing incremental to report).
 func recordSolve(m *obs.SolverMetrics, kind obs.SolveKind, st dataflow.SolverStats, seedable int) {
-	if st.Sparse {
-		seedable = 0 // sparse solves have no dense seeding to reuse
-	}
 	m.RecordSolve(kind, obs.SolveCost{
 		Visits:           st.NodeVisits,
 		Pushes:           st.Pushes,
@@ -330,7 +317,6 @@ func recordSolve(m *obs.SolverMetrics, kind obs.SolveKind, st dataflow.SolverSta
 		Seeded:           st.Seeded,
 		Seedable:         seedable,
 		VecOps:           st.VecOps,
-		Sparse:           st.Sparse,
 		Cancelled:        st.Cancelled,
 	})
 }
@@ -497,14 +483,12 @@ func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) 
 	delay := analysis.NewDelaySolver(out, pt)
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
-	delay.SetMode(opt.Solver)
 	var deadSolver *analysis.DeadSolver
 	var faintRes *analysis.FaintResult
 	if opt.Mode == ModeDead {
 		deadSolver = analysis.NewDeadSolver(out, vars)
 		deadSolver.SetCancel(cancel)
 		deadSolver.SetMetrics(col.DeadMetrics())
-		deadSolver.SetMode(opt.Solver)
 	}
 	if col != nil {
 		// The solvers live for the whole run; fold their arena slab
