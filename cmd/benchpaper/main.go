@@ -476,7 +476,7 @@ func expScaling(mode core.Mode, id, label string) error {
 	var ts []time.Duration
 	for _, n := range sizes() {
 		var durs []time.Duration
-		var rounds, visits int
+		var rounds, visits, slots int
 		blocks := 0
 		for s := 0; s < nseeds(); s++ {
 			g := progen.Generate(progen.Params{Seed: int64(s), Stmts: n})
@@ -489,6 +489,7 @@ func expScaling(mode core.Mode, id, label string) error {
 			rounds += st.Rounds
 			if s == 0 {
 				visits = st.ElimSolverWork + st.SinkSolverWork
+				slots = st.ElimSolverWork
 			}
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
@@ -501,12 +502,15 @@ func expScaling(mode core.Mode, id, label string) error {
 		metrics := map[string]float64{
 			"blocks": float64(blocks), "rounds_mean": float64(rounds) / float64(nseeds()),
 		}
+		// Deterministic solver-work counters on the seed-0 program,
+		// summed over all rounds, which bench-check gates and which
+		// stay comparable across sweeps with different seed counts:
+		// dead-variable plus delayability block relaxations for pde,
+		// faint slot updates for pfe.
 		if mode == core.ModeDead {
-			// Dead-variable plus delayability block relaxations
-			// across all rounds on the seed-0 program: the
-			// deterministic solver-work counter bench-check gates,
-			// comparable across sweeps with different seed counts.
 			metrics["node_visits"] = float64(visits)
+		} else {
+			metrics["slot_updates"] = float64(slots)
 		}
 		record(id, label+"-scaling", n, med, metrics)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"pdce/internal/cfg"
@@ -212,30 +213,7 @@ func TestFaintSlotwiseMatchesBlockwise(t *testing.T) {
 			params.Irreducible = true
 		}
 		g := progen.Generate(params)
-		slot := FaintVars(g)
-		block := FaintVarsBlockwise(g)
-		// Compare N-FAINT at every block entry and X-FAINT at
-		// every block exit.
-		for _, n := range g.Nodes() {
-			if !slot.EntryFaint(n).Equal(block.NFaint[n.ID]) {
-				t.Fatalf("seed %d node %s: entry faint differs: slot=%s block=%s\n%s",
-					seed, n.Label, slot.EntryFaint(n), block.NFaint[n.ID], g)
-			}
-			if !slot.ExitFaint(n).Equal(block.XFaint[n.ID]) {
-				t.Fatalf("seed %d node %s: exit faint differs", seed, n.Label)
-			}
-			// Per-instruction agreement too.
-			ix := block.InstrXFaint(n)
-			for si := range n.Stmts {
-				for vi := 0; vi < slot.Vars.Len(); vi++ {
-					v := slot.Vars.Var(vi)
-					if slot.FaintAfter(n, si, v) != ix[si].Get(vi) {
-						t.Fatalf("seed %d node %s stmt %d var %s: instruction-level faint differs",
-							seed, n.Label, si, v)
-					}
-				}
-			}
-		}
+		requireFaintMatchesBlockwise(t, fmt.Sprintf("seed %d", seed), g, FaintVars(g))
 	}
 }
 

@@ -25,16 +25,16 @@ import (
 // the slot (ι, lhs_ι) of the same instruction — so the canonical
 // solver works slotwise at instruction granularity, following the
 // worklist discipline the paper describes in Sections 5.2 and 6.1.2.
+//
+// A result returned by FaintSolver.Solve aliases the solver's buffers
+// and is valid until the solver's next Solve.
 type FaintResult struct {
 	Vars *ir.VarTable
-	Flat *dataflow.FlatProgram
-
-	// NFaint[i], XFaint[i] are the entry/exit faint vectors of flat
-	// instruction i.
-	NFaint, XFaint []*bitvec.Vector
 
 	// SlotUpdates counts worklist slot processings — the quantity
-	// Section 6.1.2 bounds by O(i·v).
+	// Section 6.1.2 bounds by O(i·v). Only slots the all-ones start
+	// violates, and slots whose inputs later fall, are ever processed,
+	// so this counts fewer updates than seeding all i·v slots would.
 	SlotUpdates int
 
 	// Cancelled reports that the solve was interrupted before
@@ -42,6 +42,45 @@ type FaintResult struct {
 	// above the greatest fixpoint — and must not justify any
 	// elimination.
 	Cancelled bool
+
+	entry, exit    []int32  // first and last instruction of each block
+	nfaint, xfaint []uint64 // entry/exit vectors, stride words each
+	stride         int
+}
+
+// FaintAfter reports whether variable v is faint immediately after
+// statement idx of block n — the elimination criterion for faint code
+// elimination.
+func (r *FaintResult) FaintAfter(n *cfg.Node, idx int, v ir.Var) bool {
+	vi, ok := r.Vars.Index(v)
+	if !ok {
+		return true
+	}
+	return slotGet(r.xfaint, r.stride, r.entry[n.ID]+int32(idx), vi)
+}
+
+// EntryFaint returns a copy of N-FAINT at the entry of block n.
+func (r *FaintResult) EntryFaint(n *cfg.Node) *bitvec.Vector {
+	return r.vector(r.nfaint, r.entry[n.ID])
+}
+
+// ExitFaint returns a copy of X-FAINT at the exit of block n.
+func (r *FaintResult) ExitFaint(n *cfg.Node) *bitvec.Vector {
+	return r.vector(r.xfaint, r.exit[n.ID])
+}
+
+func (r *FaintResult) vector(slab []uint64, i int32) *bitvec.Vector {
+	v := bitvec.New(r.Vars.Len())
+	for x := 0; x < v.Len(); x++ {
+		if slotGet(slab, r.stride, i, x) {
+			v.Set(x)
+		}
+	}
+	return v
+}
+
+func slotGet(slab []uint64, stride int, i int32, x int) bool {
+	return slab[int(i)*stride+x>>6]&(1<<(x&63)) != 0
 }
 
 // FaintVars solves the faint-variable analysis on g with the slotwise
@@ -68,140 +107,155 @@ func FaintVarsCancel(g *cfg.Graph, vars *ir.VarTable, cancel func() bool) *Faint
 // the initial seeding) when it finishes or is cancelled. A nil sink
 // collects nothing.
 func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metrics *obs.SolverMetrics) *FaintResult {
-	fp := dataflow.Flatten(g)
-	nv := vars.Len()
-	ni := fp.Len()
-	r := &FaintResult{
-		Vars:   vars,
-		Flat:   fp,
-		NFaint: make([]*bitvec.Vector, ni),
-		XFaint: make([]*bitvec.Vector, ni),
-	}
-	for i := 0; i < ni; i++ {
-		r.NFaint[i] = bitvec.NewAllOnes(nv)
-		r.XFaint[i] = bitvec.NewAllOnes(nv)
-	}
+	return new(FaintSolver).Solve(g, vars, cancel, metrics)
+}
 
-	// Per-instruction facts, precomputed once.
-	type instrFacts struct {
-		lhs      int   // variable index of LHS, or -1
-		rhs      []int // variable indices used on an assignment RHS
-		relvUses []int // variable indices used by a relevant statement
-	}
-	facts := make([]instrFacts, ni)
-	for i, instr := range fp.Instrs {
-		f := instrFacts{lhs: -1}
-		switch s := instr.Stmt.(type) {
-		case ir.Assign:
-			f.lhs = vars.MustIndex(s.LHS)
-			seen := map[int]bool{}
-			ir.ExprVars(s.RHS, func(v ir.Var) {
-				vi := vars.MustIndex(v)
-				if !seen[vi] {
-					seen[vi] = true
-					f.rhs = append(f.rhs, vi)
-				}
-			})
-		case ir.Out, ir.Branch:
-			seen := map[int]bool{}
-			ir.Uses(instr.Stmt, func(v ir.Var) {
-				vi := vars.MustIndex(v)
-				if !seen[vi] {
-					seen[vi] = true
-					f.relvUses = append(f.relvUses, vi)
-				}
-			})
-		}
-		facts[i] = f
-	}
+// FaintSolver is the slotwise faint-variable solver. It keeps its
+// buffers between solves, so one solver held across the rounds of a
+// run allocates only when a program outgrows every earlier one. The
+// zero FaintSolver is ready to use.
+//
+// Instructions are numbered block by block in g.Nodes() order; an
+// empty block contributes one implicit skip, so every block has an
+// entry and an exit instruction. Inside a block the predecessor and
+// successor of instruction i are i-1 and i+1; a block exit's
+// successors are the entries of the block's flow successors, and a
+// block entry's predecessors are the exits of its flow predecessors.
+type FaintSolver struct {
+	entry, exit []int32 // by NodeID
+	block       []int32 // by instruction: its block's NodeID
 
-	isRelvUsed := func(i, x int) bool {
-		for _, u := range facts[i].relvUses {
-			if u == x {
-				return true
-			}
-		}
-		return false
-	}
-	isAssUsed := func(i, x int) bool {
-		for _, u := range facts[i].rhs {
-			if u == x {
-				return true
-			}
-		}
-		return false
-	}
+	// The predecessor exits of block b are preds[predOff[b]:predOff[b+1]].
+	predOff, preds, fill []int32
 
-	// nEquation evaluates the N-FAINT equation for slot (i, x) from
-	// the current X-FAINT values.
-	nEquation := func(i, x int) bool {
-		if isRelvUsed(i, x) {
-			return false
-		}
-		f := facts[i]
-		if !(r.XFaint[i].Get(x) || f.lhs == x) {
-			return false
-		}
-		if isAssUsed(i, x) && !r.XFaint[i].Get(f.lhs) {
-			return false
-		}
-		return true
-	}
+	// Per instruction: the LHS variable (-1 if none), the distinct
+	// variables it reads (uses[useOff[i]:useOff[i+1]]) and whether it
+	// is relevant (out or branch), which makes those reads RELV-USED
+	// rather than ASS-USED.
+	lhs, useOff, uses []int32
+	relevant          []bool
 
-	// Slot worklist. Values only fall (true→false), so each slot
-	// enters the queue O(1) times per dependency fall.
-	type slot struct{ i, x int }
-	var queue []slot
+	// N-FAINT and X-FAINT of instruction i are words
+	// [i·stride, (i+1)·stride) of their slab; queued marks the
+	// slots on the worklist in the same layout.
+	nfaint, xfaint, queued []uint64
+	queue                  []faintSlot
+}
+
+type faintSlot struct{ i, x int32 }
+
+// Solve computes the greatest solution of the Table 1 equations on g
+// over the variable universe vars. cancel and metrics behave as in
+// FaintVarsObserve. The result aliases the solver's buffers until the
+// next Solve.
+func (s *FaintSolver) Solve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metrics *obs.SolverMetrics) *FaintResult {
+	s.number(g, vars)
+	ni := len(s.block)
+	stride := (vars.Len() + 63) / 64
+	s.nfaint = growOnes(s.nfaint, ni*stride)
+	s.xfaint = growOnes(s.xfaint, ni*stride)
+	s.queued = grow(s.queued, ni*stride)
+	clear(s.queued)
+
+	entry, exit, block := s.entry, s.exit, s.block
+	predOff, preds := s.predOff, s.preds
+	lhs, useOff, uses, relevant := s.lhs, s.useOff, s.uses, s.relevant
+	nfaint, xfaint, queued := s.nfaint, s.xfaint, s.queued
+	nodes := g.Nodes()
+
+	// Values only fall (true→false), so a slot needs re-evaluation
+	// only after one of its inputs fell, and each slot enters the
+	// queue O(1) times per dependency fall.
+	queue := s.queue[:0]
 	pushes := 0
-	queued := make([]bool, ni*nv)
-	push := func(i, x int) {
-		k := i*nv + x
-		if !queued[k] {
-			queued[k] = true
-			queue = append(queue, slot{i, x})
+	push := func(i, x int32) {
+		k, bit := int(i)*stride+int(x>>6), uint64(1)<<(x&63)
+		if queued[k]&bit == 0 {
+			queued[k] |= bit
+			queue = append(queue, faintSlot{i, x})
 			pushes++
 		}
 	}
-	// Seed every slot once.
-	for i := 0; i < ni; i++ {
-		for x := 0; x < nv; x++ {
-			push(i, x)
+	// Seed only the slots the all-ones start violates. With every
+	// N-FAINT and X-FAINT true, the X equation and the last two
+	// N conjuncts hold everywhere, so the violated slots are exactly
+	// the RELV-USED ones.
+	for i := range relevant {
+		if relevant[i] {
+			for _, x := range uses[useOff[i]:useOff[i+1]] {
+				push(int32(i), x)
+			}
 		}
 	}
 
+	r := &FaintResult{Vars: vars, entry: entry, exit: exit, nfaint: nfaint, xfaint: xfaint, stride: stride}
 	for len(queue) > 0 {
 		if cancel != nil && r.SlotUpdates%256 == 0 && cancel() {
 			r.Cancelled = true
-			metrics.RecordSlotSolve(r.SlotUpdates, pushes, true)
-			return r
+			break
 		}
-		s := queue[len(queue)-1]
+		sl := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		queued[s.i*nv+s.x] = false
+		i, x := sl.i, sl.x
+		w, bit := int(x>>6), uint64(1)<<(x&63)
+		k := int(i)*stride + w
+		queued[k] &^= bit
 		r.SlotUpdates++
+		b := block[i]
 
 		// X-FAINT_i(x) = ∏ over successors of N-FAINT(x); the
 		// empty product (end instruction) stays true.
-		newX := true
-		for _, j := range fp.Instrs[s.i].Succs {
-			if !r.NFaint[j].Get(s.x) {
-				newX = false
-				break
+		xFell := false
+		if xfaint[k]&bit != 0 {
+			newX := true
+			if i == exit[b] {
+				for _, sn := range nodes[b].Succs() {
+					if nfaint[int(entry[sn.ID])*stride+w]&bit == 0 {
+						newX = false
+						break
+					}
+				}
+			} else {
+				newX = nfaint[k+stride]&bit != 0
+			}
+			if !newX {
+				xfaint[k] &^= bit
+				xFell = true
 			}
 		}
-		xFell := false
-		if !newX && r.XFaint[s.i].Get(s.x) {
-			r.XFaint[s.i].Clear(s.x)
-			xFell = true
-		}
 
-		newN := nEquation(s.i, s.x)
-		if !newN && r.NFaint[s.i].Get(s.x) {
-			r.NFaint[s.i].Clear(s.x)
-			// The entry value of i feeds the exit values of
-			// its predecessors.
-			for _, p := range fp.Instrs[s.i].Preds {
-				push(p, s.x)
+		if nfaint[k]&bit != 0 {
+			used := false
+			for _, u := range uses[useOff[i]:useOff[i+1]] {
+				if u == x {
+					used = true
+					break
+				}
+			}
+			// A used operand is RELV-USED in a relevant instruction
+			// and ASS-USED in an assignment.
+			var newN bool
+			switch {
+			case used && relevant[i]:
+				newN = false
+			case xfaint[k]&bit == 0 && lhs[i] != x:
+				newN = false
+			case used:
+				newN = slotGet(xfaint, stride, i, int(lhs[i]))
+			default:
+				newN = true
+			}
+			if !newN {
+				nfaint[k] &^= bit
+				// The entry value of i feeds the exit values of
+				// its predecessors.
+				if i == entry[b] {
+					for _, p := range preds[predOff[b]:predOff[b+1]] {
+						push(p, x)
+					}
+				} else {
+					push(i-1, x)
+				}
 			}
 		}
 
@@ -209,35 +263,98 @@ func FaintVarsObserve(g *cfg.Graph, vars *ir.VarTable, cancel func() bool, metri
 		// processed successfully (fell), the slots (ι, z) of the
 		// right-hand-side variables z of ι depend on it and must
 		// be revisited.
-		if xFell && s.x == facts[s.i].lhs {
-			for _, z := range facts[s.i].rhs {
-				push(s.i, z)
+		if xFell && x == lhs[i] {
+			for _, z := range uses[useOff[i]:useOff[i+1]] {
+				push(i, z)
 			}
 		}
 	}
-	metrics.RecordSlotSolve(r.SlotUpdates, pushes, false)
+	s.queue = queue
+	metrics.RecordSlotSolve(r.SlotUpdates, pushes, r.Cancelled)
 	return r
 }
 
-// FaintAfter reports whether variable v is faint immediately after
-// statement idx of block n — the elimination criterion for faint code
-// elimination.
-func (r *FaintResult) FaintAfter(n *cfg.Node, idx int, v ir.Var) bool {
-	vi, ok := r.Vars.Index(v)
-	if !ok {
-		return true
+// number lays out g's instructions and their facts over vars.
+func (s *FaintSolver) number(g *cfg.Graph, vars *ir.VarTable) {
+	nn := g.NumNodes()
+	s.entry = grow(s.entry, nn)
+	s.exit = grow(s.exit, nn)
+	s.predOff = grow(s.predOff, nn+1)
+	clear(s.predOff)
+	s.block, s.lhs, s.relevant = s.block[:0], s.lhs[:0], s.relevant[:0]
+	s.useOff, s.uses = s.useOff[:0], s.uses[:0]
+	for _, n := range g.Nodes() {
+		s.entry[n.ID] = int32(len(s.block))
+		if n.IsEmpty() {
+			s.addInstr(n.ID, ir.Skip{}, vars)
+		}
+		for _, st := range n.Stmts {
+			s.addInstr(n.ID, st, vars)
+		}
+		s.exit[n.ID] = int32(len(s.block) - 1)
+		for _, sn := range n.Succs() {
+			s.predOff[sn.ID+1]++
+		}
 	}
-	return r.XFaint[r.Flat.BlockEntry(n)+idx].Get(vi)
+	s.useOff = append(s.useOff, int32(len(s.uses)))
+
+	// Predecessor lists, in the order of the edges' sources in
+	// g.Nodes().
+	for b := 1; b <= nn; b++ {
+		s.predOff[b] += s.predOff[b-1]
+	}
+	s.preds = grow(s.preds, int(s.predOff[nn]))
+	s.fill = grow(s.fill, nn)
+	copy(s.fill, s.predOff[:nn])
+	for _, n := range g.Nodes() {
+		for _, sn := range n.Succs() {
+			s.preds[s.fill[sn.ID]] = s.exit[n.ID]
+			s.fill[sn.ID]++
+		}
+	}
 }
 
-// EntryFaint returns N-FAINT at the entry of block n.
-func (r *FaintResult) EntryFaint(n *cfg.Node) *bitvec.Vector {
-	return r.NFaint[r.Flat.BlockEntry(n)]
+func (s *FaintSolver) addInstr(b cfg.NodeID, st ir.Stmt, vars *ir.VarTable) {
+	s.block = append(s.block, int32(b))
+	s.useOff = append(s.useOff, int32(len(s.uses)))
+	l := int32(-1)
+	relevant := false
+	switch st := st.(type) {
+	case ir.Assign:
+		l = int32(vars.MustIndex(st.LHS))
+	case ir.Out, ir.Branch:
+		relevant = true
+	}
+	s.lhs = append(s.lhs, l)
+	s.relevant = append(s.relevant, relevant)
+	start := len(s.uses)
+	ir.Uses(st, func(v ir.Var) {
+		vi := int32(vars.MustIndex(v))
+		for _, u := range s.uses[start:] {
+			if u == vi {
+				return
+			}
+		}
+		s.uses = append(s.uses, vi)
+	})
 }
 
-// ExitFaint returns X-FAINT at the exit of block n.
-func (r *FaintResult) ExitFaint(n *cfg.Node) *bitvec.Vector {
-	return r.XFaint[r.Flat.BlockExit(n)]
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// growOnes is grow with every word set.
+func growOnes(s []uint64, n int) []uint64 {
+	s = grow(s, n)
+	for k := range s {
+		s[k] = ^uint64(0)
+	}
+	return s
 }
 
 // --- Blockwise reference solver ------------------------------------

@@ -19,6 +19,7 @@ var metricDirections = map[string]string{
 	"errors":            "lower",
 	"re_solves":         "lower",
 	"node_visits":       "lower",
+	"slot_updates":      "lower",
 	"w_mean":            "lower",
 	"w_max":             "lower",
 	"exponent":          "lower",

@@ -469,7 +469,8 @@ func (d *dirtySet) take() []cfg.NodeID {
 // that shifts with every mutation, so it is not re-seeded — but its
 // solution is cached and reused whenever a round begins with no
 // pending mutations (the common tail of long runs, where sinking has
-// stabilized and elimination finds nothing).
+// stabilized and elimination finds nothing), and one FaintSolver
+// keeps its buffers across the run's solves.
 func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) {
 	vars := out.CollectVars()
 	pt := out.CollectPatterns()
@@ -484,6 +485,7 @@ func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) 
 	delay.SetCancel(cancel)
 	delay.SetMetrics(col.DelayMetrics())
 	var deadSolver *analysis.DeadSolver
+	var faint analysis.FaintSolver
 	var faintRes *analysis.FaintResult
 	if opt.Mode == ModeDead {
 		deadSolver = analysis.NewDeadSolver(out, vars)
@@ -543,7 +545,7 @@ func runIncremental(out *cfg.Graph, opt Options, st *Stats) (*cfg.Graph, error) 
 		if opt.Mode == ModeFaint {
 			tr.BeginPhase(st.Rounds, "eliminate", "faint")
 			if faintRes == nil || !pendElim.empty() {
-				faintRes = analysis.FaintVarsObserve(out, vars, cancel, col.FaintMetrics())
+				faintRes = faint.Solve(out, vars, cancel, col.FaintMetrics())
 				if faintRes.Cancelled {
 					faintRes = nil
 					return rv.best(out), wd.interrupt(st.Rounds, "eliminate")

@@ -8,9 +8,12 @@ import (
 // FlatProgram is an instruction-level view of a flow graph: every
 // statement becomes one instruction, and a block without statements
 // contributes a single implicit skip so that every block has an entry
-// and an exit instruction. The faint-variable analysis requires this
+// and an exit instruction. Instruction-level reaching definitions are
+// its only user; the faint-variable analysis, which needs the same
 // granularity (Table 1 works at the instruction level; its footnote b
-// notes only the dead analysis can be lifted to blocks).
+// notes only the dead analysis can be lifted to blocks), numbers
+// instructions the same way in its own flat arrays and reads the edges
+// from the graph, so it allocates no per-instruction edge slices.
 type FlatProgram struct {
 	Graph  *cfg.Graph
 	Instrs []FlatInstr

@@ -225,7 +225,10 @@ type SolverSnapshot struct {
 	VectorOps int64 `json:"vector_ops"`
 
 	// SlotUpdates counts slot processings of the slotwise faint
-	// solver — the quantity Section 6.1.2 bounds by O(i·v).
+	// solver — the quantity Section 6.1.2 bounds by O(i·v). The solver
+	// seeds only the slots its all-ones start violates, so this
+	// counts fewer updates than a seed-every-slot solver for the same
+	// solution.
 	SlotUpdates int64 `json:"slot_updates"`
 }
 

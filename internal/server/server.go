@@ -548,7 +548,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	resp := s.buildResponse(prog.Name(), key, o, opt, st, explain)
 	switch {
 	case err == nil:
-		body, merr := json.Marshal(resp)
+		body, merr := encodeResponse(sp, resp)
 		if merr != nil {
 			s.httpError(w, http.StatusInternalServerError, "internal", merr.Error(), "")
 			return
@@ -573,13 +573,25 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		resp.Degraded = true
 		resp.Error = err.Error()
 		resp.ErrorKind = errorKind(err)
-		body, merr := json.Marshal(resp)
+		body, merr := encodeResponse(sp, resp)
 		if merr != nil {
 			s.httpError(w, http.StatusInternalServerError, "internal", merr.Error(), "")
 			return
 		}
 		s.serve(w, body, pdce.CacheMiss)
 	}
+}
+
+// encodeResponse marshals a freshly solved response under a
+// server.encode span. Hits write cached bytes and encode nothing.
+func encodeResponse(sp *obs.Span, resp pdce.OptimizeResponse) ([]byte, error) {
+	esp := sp.Child("server.encode")
+	body, err := json.Marshal(resp)
+	if err != nil {
+		esp.SetError("marshal")
+	}
+	esp.End()
+	return body, err
 }
 
 // handleBatch serves many programs in one request through the PR-1

@@ -128,7 +128,7 @@ func TestPoolTraceEndToEnd(t *testing.T) {
 	for _, name := range []string{
 		"client.request", "client.key", "client.attempt",
 		"server.optimize", "server.key", "server.parse", "server.admission", "server.cache",
-		"solve", "solve.round",
+		"solve", "solve.round", "server.encode",
 	} {
 		if len(byName[name]) == 0 {
 			t.Errorf("merged trace missing span %q (have %v)", name, spanNameSet(dump.Spans))
@@ -150,6 +150,12 @@ func TestPoolTraceEndToEnd(t *testing.T) {
 	}
 	if len(byName["client.request"]) != 1 || winner.ParentID != byName["client.request"][0].SpanID {
 		t.Errorf("winning attempt not parented by the client root")
+	}
+	// The request was a miss, so the solved response was encoded once,
+	// under the server root.
+	if enc := byName["server.encode"]; len(enc) != 1 || len(byName["server.optimize"]) != 1 ||
+		enc[0].ParentID != byName["server.optimize"][0].SpanID {
+		t.Errorf("server.encode not a single child of the server root: %+v", enc)
 	}
 }
 
