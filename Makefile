@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
+.PHONY: all build vet fmt-check test race bench bench-json bench-check fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check ci
 
 all: build
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fail, naming the files, when any Go file in the tree
+# is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -43,10 +48,14 @@ bench-check:
 # panic and must always return a structurally valid program, whatever
 # the input and option combination. Then the raw-request alias memo:
 # for any name, lang, options and body, pdced's answer through the
-# alias must equal its answer through parsing, 400s included.
+# alias must equal its answer through parsing, 400s included. Then the
+# two parsers over the streaming lexer: no panics, and a lex error
+# anywhere in the input is the error they return.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSafeOptimize -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzRequestPreKey -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzParseCFG -fuzztime 10s ./internal/parser
+	$(GO) test -run '^$$' -fuzz FuzzParseSource -fuzztime 10s ./internal/parser
 
 # Telemetry smoke: optimize the corpus with all collectors on and
 # validate every report against the golden schema (in-process via the
@@ -108,11 +117,12 @@ docs-check:
 	$(GO) test -run 'TestDocsCover' ./internal/server
 	$(GO) test -run 'TestCommittedDocs' ./internal/bench
 
-# Full local CI: static checks, build, the whole suite under the race
-# detector (includes the incremental-vs-reference equivalence property
-# tests, the batch pipeline and fault-injection tests, and the
-# allocation budget guard), a benchmark smoke pass, the containment
-# fuzz smoke, the telemetry, serving, tracing,
+# Full local CI: static checks (vet and the gofmt gate), build, the
+# whole suite under the race detector (includes the
+# incremental-vs-reference equivalence property tests, the batch
+# pipeline and fault-injection tests, and the allocation budget
+# guards), a benchmark smoke pass, the containment, alias-memo and
+# parser fuzz smokes, the telemetry, serving, tracing,
 # chaos, and store smokes, the docs drift guard, and the benchmark
 # regression gate (smoke matrix + variance-band check).
-ci: vet build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check
+ci: vet fmt-check build race bench fuzz smoke-telemetry smoke-server smoke-trace chaos-smoke smoke-store docs-check bench-check

@@ -1,9 +1,11 @@
 package pdce_test
 
 import (
+	"runtime"
 	"testing"
 
 	"pdce/internal/core"
+	"pdce/internal/parser"
 	"pdce/internal/progen"
 )
 
@@ -41,5 +43,43 @@ func TestTransformAllocBudget(t *testing.T) {
 		if avg > c.budget {
 			t.Errorf("core.Transform (%v) allocated %.0f objects on the 1024-stmt program, budget %.0f", c.mode, avg, c.budget)
 		}
+	}
+}
+
+// TestParseFormatAllocBudget guards the text boundary on the same
+// 1024-statement program: ParseCFG's allocated bytes per parse and
+// Format's allocation count per rendering.
+//
+// Each budget is ~2x the measured value. ParseCFG measures about
+// 0.53 MB with the streaming lexer; the whole-source token slice
+// before it cost 4.53 MB. Format measures 2 allocations with the
+// append encoder (the buffer and the string); the fmt-based printer
+// before it made ~7,000. Bringing back either trips the guard.
+func TestParseFormatAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow")
+	}
+	const (
+		parseBytesBudget   = 1_100_000
+		formatAllocsBudget = 4
+	)
+	g := progen.Generate(progen.Params{Seed: 42, Stmts: 1024})
+	src := g.Format()
+
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := parser.ParseCFG(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > parseBytesBudget {
+		t.Errorf("ParseCFG allocated %d bytes per parse of the 1024-stmt program, budget %d", perOp, parseBytesBudget)
+	}
+
+	if avg := testing.AllocsPerRun(5, func() { _ = g.Format() }); avg > formatAllocsBudget {
+		t.Errorf("Format made %.0f allocations on the 1024-stmt program, budget %d", avg, formatAllocsBudget)
 	}
 }

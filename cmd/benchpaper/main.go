@@ -189,9 +189,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchpaper: %v\n", err)
 		os.Exit(1)
 	}
-	runID := *runIDFlag
-	if runID == "" {
-		runID = bench.RunStamp(time.Now())
+	runID, err := pickRunID(*runIDFlag, bench.RunStamp(time.Now()), *jsonOut)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchpaper: %v\n", err)
+		os.Exit(1)
 	}
 	runDir := ""
 	if *outRoot != "" {
@@ -255,6 +256,35 @@ func main() {
 			len(failed), strings.Join(failed, ", "))
 		os.Exit(1)
 	}
+}
+
+// pickRunID returns the run id for a run appended to the history at
+// historyPath ("" or "-" for none): explicit if set, else stamp. Ids
+// must tell the history's runs apart, so a taken explicit id is an
+// error and a taken default stamp (two runs started within one second)
+// gets the first free suffix: -2, -3, and so on.
+func pickRunID(explicit, stamp, historyPath string) (string, error) {
+	taken := map[string]bool{}
+	if historyPath != "" && historyPath != "-" {
+		h, err := obs.LoadBenchHistory(historyPath)
+		if err != nil {
+			return "", err
+		}
+		for _, r := range h.Runs {
+			taken[r.RunID] = true
+		}
+	}
+	if explicit != "" {
+		if taken[explicit] {
+			return "", fmt.Errorf("run id %q is already in %s", explicit, historyPath)
+		}
+		return explicit, nil
+	}
+	id := stamp
+	for k := 2; taken[id]; k++ {
+		id = fmt.Sprintf("%s-%d", stamp, k)
+	}
+	return id, nil
 }
 
 // buildRun assembles this invocation's BenchRun: resolved config,

@@ -159,3 +159,36 @@ func TestSmokeSelection(t *testing.T) {
 		t.Error("unknown experiment id accepted")
 	}
 }
+
+// TestPickRunID: run ids stay unique within a history. A default stamp
+// already taken gets the first free numeric suffix, a taken explicit id
+// is refused, and without a history file every id is free.
+func TestPickRunID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	for _, id := range []string{"20261018-001324", "20261018-001324-2", "manual"} {
+		if err := obs.AppendBenchRun(path, obs.BenchRun{RunID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		explicit, stamp, history string
+		want                     string
+		wantErr                  bool
+	}{
+		{"", "20261018-001325", path, "20261018-001325", false},
+		{"", "20261018-001324", path, "20261018-001324-3", false},
+		{"", "20261018-001324", "", "20261018-001324", false},
+		{"", "20261018-001324", "-", "20261018-001324", false},
+		{"fresh", "20261018-001324", path, "fresh", false},
+		{"manual", "20261018-001325", path, "", true},
+		{"manual", "20261018-001325", "-", "manual", false},
+		{"", "20261018-001324", filepath.Join(t.TempDir(), "missing.json"), "20261018-001324", false},
+	}
+	for _, c := range cases {
+		got, err := pickRunID(c.explicit, c.stamp, c.history)
+		if (err != nil) != c.wantErr || got != c.want {
+			t.Errorf("pickRunID(%q, %q, %q) = %q, %v; want %q, error %v",
+				c.explicit, c.stamp, c.history, got, err, c.want, c.wantErr)
+		}
+	}
+}

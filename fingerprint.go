@@ -62,11 +62,13 @@ func (o Options) Cacheable() bool {
 // CacheKey returns the content address of (p, o): the hex SHA-256 of
 // the program's canonical rendering plus the options fingerprint.
 //
-// The canonical rendering is Format(), which is independent of the
-// source text the program was parsed from: whitespace, comments, and
-// statement spelling variations that parse to the same flow graph all
-// map to the same key, while any semantic difference — a changed
-// operand, statement, edge, or block — changes it. The program name
+// The canonical rendering is Format(), hashed as the bytes
+// cfg.(*Graph).AppendFormat writes, with no string made of them. It is
+// independent of the source text the program was parsed from:
+// whitespace, comments, and statement spelling variations that parse
+// to the same flow graph all map to the same key, while any semantic
+// difference — a changed operand, statement, edge, or block — changes
+// it. The program name
 // participates (it is part of the rendered result), so identical
 // bodies under different names address distinct entries.
 func (p *Program) CacheKey(o Options) string {
@@ -75,7 +77,7 @@ func (p *Program) CacheKey(o Options) string {
 	io.WriteString(h, "\n")
 	io.WriteString(h, o.Fingerprint())
 	io.WriteString(h, "\n")
-	io.WriteString(h, p.g.Format())
+	h.Write(p.g.AppendFormat(nil))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

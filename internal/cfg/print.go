@@ -2,7 +2,9 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pdce/internal/ir"
@@ -20,42 +22,81 @@ import (
 //
 // Start and end nodes are implicit ("s" and "e"). Nodes appear in ID
 // order, edges in source-ID order; the rendering is deterministic.
-func (g *Graph) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "graph %q\n", g.Name)
+func (g *Graph) Format() string { return string(g.AppendFormat(nil)) }
+
+// AppendFormat appends the Format rendering of g to dst. When dst has
+// too little room it is grown once, by an estimate taken from the
+// graph's labels, statement count and edge count.
+func (g *Graph) AppendFormat(dst []byte) []byte {
+	dst = slices.Grow(dst, g.formatSize())
+	dst = append(dst, "graph "...)
+	dst = strconv.AppendQuote(dst, g.Name)
+	dst = append(dst, '\n')
 	for _, n := range g.nodes {
 		if n == g.Start || n == g.End {
 			continue
 		}
+		dst = append(dst, "node "...)
+		dst = appendLabel(dst, n.Label)
 		if n.Synthetic {
-			fmt.Fprintf(&sb, "node %s synthetic {\n", quoteLabel(n.Label))
-		} else {
-			fmt.Fprintf(&sb, "node %s {\n", quoteLabel(n.Label))
+			dst = append(dst, " synthetic"...)
 		}
+		dst = append(dst, " {\n"...)
 		for _, s := range n.Stmts {
-			fmt.Fprintf(&sb, "  %s\n", s)
+			dst = append(dst, "  "...)
+			dst = ir.AppendStmt(dst, s)
+			dst = append(dst, '\n')
 		}
-		sb.WriteString("}\n")
+		dst = append(dst, "}\n"...)
 	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&sb, "edge %s %s\n", quoteLabel(e.From.Label), quoteLabel(e.To.Label))
+	for _, n := range g.nodes {
+		for _, m := range n.succs {
+			dst = append(dst, "edge "...)
+			dst = appendLabel(dst, n.Label)
+			dst = append(dst, ' ')
+			dst = appendLabel(dst, m.Label)
+			dst = append(dst, '\n')
+		}
 	}
-	return sb.String()
+	return dst
 }
 
-// quoteLabel quotes labels containing characters outside the bare-word
-// alphabet of the parser.
-func quoteLabel(l string) string {
-	for _, r := range l {
-		if !(r == '_' || r == '.' || r >= '0' && r <= '9' ||
-			r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') {
-			return fmt.Sprintf("%q", l)
+// stmtSizeGuess is the rendered length, indent and newline included,
+// that formatSize assumes per statement. Generated programs average
+// about 17 bytes; the guess stays above that so the common case needs
+// no second growth.
+const stmtSizeGuess = 20
+
+// formatSize estimates the length of g's Format rendering: exact for
+// the header, node lines and edges of bare labels, a guess for each
+// statement.
+func (g *Graph) formatSize() int {
+	size := len("graph \"\"\n") + len(g.Name)
+	for _, n := range g.nodes {
+		size += len("node  {\n}\n") + len(n.Label) + stmtSizeGuess*len(n.Stmts)
+		if n.Synthetic {
+			size += len(" synthetic")
+		}
+		size += len(n.succs) * (len("edge  \n") + len(n.Label))
+		size += len(n.preds) * len(n.Label)
+	}
+	return size
+}
+
+// appendLabel appends a node label, quoted (with %q semantics) when it
+// contains characters outside the bare-word alphabet of the parser.
+func appendLabel(dst []byte, l string) []byte {
+	if l == "" {
+		return append(dst, `""`...)
+	}
+	for i := 0; i < len(l); i++ {
+		c := l[i]
+		if !(c == '_' || c == '.' || c >= '0' && c <= '9' ||
+			c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
+			return strconv.AppendQuote(dst, l)
 		}
 	}
-	if l == "" {
-		return `""`
-	}
-	return l
+	return append(dst, l...)
 }
 
 // String returns a compact human-oriented listing: one line per node

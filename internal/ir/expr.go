@@ -8,6 +8,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -79,29 +80,82 @@ func (VarRef) isExpr() {}
 func (Unary) isExpr()  {}
 func (Binary) isExpr() {}
 
-func (c Const) Key() string  { return fmt.Sprintf("%d", c.Value) }
+func (c Const) Key() string  { return strconv.FormatInt(c.Value, 10) }
 func (v VarRef) Key() string { return string(v.Name) }
-func (u Unary) Key() string  { return "(-" + u.X.Key() + ")" }
-func (b Binary) Key() string {
-	return "(" + b.L.Key() + string(b.Op) + b.R.Key() + ")"
-}
+func (u Unary) Key() string  { return keyString(u) }
+func (b Binary) Key() string { return keyString(b) }
 
 func (c Const) String() string  { return c.Key() }
 func (v VarRef) String() string { return v.Key() }
-func (u Unary) String() string  { return "-" + parenthesize(u.X) }
-func (b Binary) String() string {
-	return parenthesize(b.L) + string(b.Op) + parenthesize(b.R)
+func (u Unary) String() string  { return exprString(u) }
+func (b Binary) String() string { return exprString(b) }
+
+// keyString and exprString render a compound expression through a
+// stack buffer, so a short rendering costs one allocation: the string.
+func keyString(e Expr) string {
+	var buf [64]byte
+	return string(AppendKey(buf[:0], e))
 }
 
-// parenthesize renders an operand, wrapping compound operands in
-// parentheses so that the output re-parses to the same tree.
-func parenthesize(e Expr) string {
-	switch e.(type) {
-	case Const, VarRef:
-		return e.String()
-	default:
-		return "(" + e.String() + ")"
+func exprString(e Expr) string {
+	var buf [64]byte
+	return string(AppendExpr(buf[:0], e))
+}
+
+// AppendKey appends the canonical Key rendering of e to dst: constants
+// in decimal, variables by name, every compound term fully
+// parenthesized, as in "((a+b)*(-c))".
+func AppendKey(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Const:
+		return strconv.AppendInt(dst, x.Value, 10)
+	case VarRef:
+		return append(dst, x.Name...)
+	case Unary:
+		dst = append(dst, "(-"...)
+		dst = AppendKey(dst, x.X)
+		return append(dst, ')')
+	case Binary:
+		dst = append(dst, '(')
+		dst = AppendKey(dst, x.L)
+		dst = append(dst, x.Op...)
+		dst = AppendKey(dst, x.R)
+		return append(dst, ')')
 	}
+	panic("ir: unknown expression type")
+}
+
+// AppendExpr appends the String rendering of e to dst: the source
+// syntax, with compound operands wrapped in parentheses so that the
+// output re-parses to the same tree.
+func AppendExpr(dst []byte, e Expr) []byte { return appendExpr(dst, e, false) }
+
+// appendExpr renders e, in parentheses if it is a compound operand.
+func appendExpr(dst []byte, e Expr, operand bool) []byte {
+	switch x := e.(type) {
+	case Const:
+		return strconv.AppendInt(dst, x.Value, 10)
+	case VarRef:
+		return append(dst, x.Name...)
+	}
+	if operand {
+		dst = append(dst, '(')
+	}
+	switch x := e.(type) {
+	case Unary:
+		dst = append(dst, '-')
+		dst = appendExpr(dst, x.X, true)
+	case Binary:
+		dst = appendExpr(dst, x.L, true)
+		dst = append(dst, x.Op...)
+		dst = appendExpr(dst, x.R, true)
+	default:
+		panic("ir: unknown expression type")
+	}
+	if operand {
+		dst = append(dst, ')')
+	}
+	return dst
 }
 
 // C returns a constant expression.

@@ -46,10 +46,37 @@ func (Skip) isStmt()   {}
 func (Out) isStmt()    {}
 func (Branch) isStmt() {}
 
-func (a Assign) String() string { return string(a.LHS) + " := " + a.RHS.String() }
+func (a Assign) String() string { return stmtString(a) }
 func (Skip) String() string     { return "skip" }
-func (o Out) String() string    { return "out(" + o.Arg.String() + ")" }
-func (b Branch) String() string { return "branch(" + b.Cond.String() + ")" }
+func (o Out) String() string    { return stmtString(o) }
+func (b Branch) String() string { return stmtString(b) }
+
+func stmtString(s Stmt) string {
+	var buf [64]byte
+	return string(AppendStmt(buf[:0], s))
+}
+
+// AppendStmt appends the String rendering of s to dst: "x := t",
+// "skip", "out(t)" or "branch(t)", with t rendered by AppendExpr.
+func AppendStmt(dst []byte, s Stmt) []byte {
+	switch st := s.(type) {
+	case Assign:
+		dst = append(dst, st.LHS...)
+		dst = append(dst, " := "...)
+		return AppendExpr(dst, st.RHS)
+	case Skip:
+		return append(dst, "skip"...)
+	case Out:
+		dst = append(dst, "out("...)
+		dst = AppendExpr(dst, st.Arg)
+		return append(dst, ')')
+	case Branch:
+		dst = append(dst, "branch("...)
+		dst = AppendExpr(dst, st.Cond)
+		return append(dst, ')')
+	}
+	panic("ir: unknown statement type")
+}
 
 // Uses calls f once per right-hand-side occurrence of a variable in s.
 // For relevant statements every operand variable is a use; for an

@@ -52,10 +52,10 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"",
 		"00-" + tid(7) + "-" + sid(9),         // truncated
 		"ff-" + tid(7) + "-" + sid(9) + "-01", // forbidden version
-		"00-" + zeroTraceID + "-" + sid(9) + "-01",             // zero trace
-		"00-" + tid(7) + "-" + zeroSpanID + "-01",              // zero span
+		"00-" + zeroTraceID + "-" + sid(9) + "-01",              // zero trace
+		"00-" + tid(7) + "-" + zeroSpanID + "-01",               // zero span
 		"00-ABCDEF00000000000000000000000007-" + sid(9) + "-01", // uppercase hex
-		"00_" + tid(7) + "-" + sid(9) + "-01",                  // wrong separator
+		"00_" + tid(7) + "-" + sid(9) + "-01",                   // wrong separator
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {

@@ -23,13 +23,13 @@ import (
 // are separated by newlines or semicolons. The resulting graph is
 // validated (cfg.Validate) before being returned.
 func ParseCFG(src string) (*cfg.Graph, error) {
-	toks, err := lex(src)
-	if err != nil {
+	t := newTokens(src)
+	p := &cfgParser{t: t}
+	g, err := p.parse()
+	if err = t.finish(err); err != nil {
 		return nil, err
 	}
-	t := &tokens{list: toks}
-	p := &cfgParser{t: t}
-	return p.parse()
+	return g, nil
 }
 
 // MustParseCFG is ParseCFG that panics on error, for tests and

@@ -6,20 +6,64 @@ import (
 	"pdce/internal/ir"
 )
 
-// tokens is a cursor over a lexed token stream shared by both parsers.
+// tokens is the token stream shared by both parsers: a cursor with
+// one token of lookahead over the lexer. Runs of separators are merged
+// here, so the grammar never sees two TokSemi in a row.
+//
+// A lex error ends the stream: the cursor records it and reports end
+// of input from then on. finish makes that error the parse's result,
+// whatever the grammar concluded from the truncated stream.
 type tokens struct {
-	list []Token
-	pos  int
+	lx  lexer
+	tok Token // the lookahead
+	err error // the first lex error, if any
 }
 
-func (t *tokens) peek() Token { return t.list[t.pos] }
+func newTokens(src string) *tokens {
+	t := &tokens{lx: lexer{src: src, line: 1, col: 1}}
+	t.tok = t.lex()
+	return t
+}
+
+// lex returns the next token from the lexer, or end of input once it
+// has failed.
+func (t *tokens) lex() Token {
+	if t.err == nil {
+		tok, err := t.lx.next()
+		if err == nil {
+			return tok
+		}
+		t.err = err
+	}
+	return Token{Kind: TokEOF, Line: t.lx.line, Col: t.lx.col}
+}
+
+func (t *tokens) peek() Token { return t.tok }
 
 func (t *tokens) next() Token {
-	tok := t.list[t.pos]
-	if tok.Kind != TokEOF {
-		t.pos++
+	tok := t.tok
+	if tok.Kind == TokEOF {
+		return tok
+	}
+	t.tok = t.lex()
+	for tok.Kind == TokSemi && t.tok.Kind == TokSemi {
+		t.tok = t.lex() // merge separator runs
 	}
 	return tok
+}
+
+// finish returns the outcome of a parse that ended with err (nil on
+// success). It lexes the rest of the source first: a lex error
+// anywhere in the source takes precedence over a parse or validation
+// error, exactly as when the whole source was lexed before parsing.
+func (t *tokens) finish(err error) error {
+	for t.err == nil && t.tok.Kind != TokEOF {
+		t.tok = t.lex()
+	}
+	if t.err != nil {
+		return t.err
+	}
+	return err
 }
 
 func (t *tokens) errf(tok Token, format string, args ...any) error {
@@ -166,11 +210,15 @@ func (t *tokens) parsePrimary() (ir.Expr, error) {
 
 // ParseExpr parses a standalone expression (used by tests and tools).
 func ParseExpr(src string) (ir.Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
+	t := newTokens(src)
+	e, err := parseWholeExpr(t)
+	if err = t.finish(err); err != nil {
 		return nil, err
 	}
-	t := &tokens{list: toks}
+	return e, nil
+}
+
+func parseWholeExpr(t *tokens) (ir.Expr, error) {
 	t.skipSemis()
 	e, err := t.parseExpr()
 	if err != nil {

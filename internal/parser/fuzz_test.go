@@ -8,9 +8,26 @@ import (
 	"pdce/internal/parser"
 )
 
-// FuzzParseSource: the WHILE-language parser must never panic; on
-// success the lowered graph must be valid and its Format output must
-// re-parse.
+// checkLexPrecedence asserts the parsers' error precedence: when
+// lexing src on its own fails, the parse must fail with exactly that
+// lex error, whatever parse or validation error comes before it.
+func checkLexPrecedence(t *testing.T, src string, err error) {
+	t.Helper()
+	lexErr := parser.LexError(src)
+	if lexErr == nil {
+		return
+	}
+	if err == nil {
+		t.Fatalf("parse accepted %q, which does not lex: %v", src, lexErr)
+	}
+	if err.Error() != lexErr.Error() {
+		t.Fatalf("parse of %q failed with %q, want the lex error %q", src, err, lexErr)
+	}
+}
+
+// FuzzParseSource: the WHILE-language parser must never panic, and a
+// lex error anywhere takes precedence; on success the lowered graph
+// must be valid and its Format output must re-parse.
 func FuzzParseSource(f *testing.F) {
 	seeds := []string{
 		"x := a + b\nout(x)",
@@ -25,12 +42,15 @@ func FuzzParseSource(f *testing.F) {
 		"if { }",
 		"do { } until *",
 		"out(((((1)))))",
+		"x := := 1\n@",
+		"if * { out(1) }\nx := \"a\\q\"",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := parser.ParseSource("fuzz", src)
+		checkLexPrecedence(t, src, err)
 		if err != nil {
 			return // rejected inputs are fine; panics are not
 		}
@@ -47,9 +67,9 @@ func FuzzParseSource(f *testing.F) {
 	})
 }
 
-// FuzzParseCFG: the low-level parser must never panic, and accepted
-// graphs must survive the full pde pipeline without breaking
-// invariants.
+// FuzzParseCFG: the low-level parser must never panic, a lex error
+// anywhere takes precedence, and accepted graphs must survive the full
+// pde pipeline without breaking invariants.
 func FuzzParseCFG(f *testing.F) {
 	seeds := []string{
 		"graph \"g\"\nnode 1 { x := a+b }\nnode 2 { out(x) }\nedge s 1\nedge 1 2\nedge 2 e",
@@ -60,12 +80,15 @@ func FuzzParseCFG(f *testing.F) {
 		"edge s e",
 		"node e { skip }",
 		"graph",
+		"node 1 { x := := }\n@",
+		"node 1 { }\nedge s 1\n$",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := parser.ParseCFG(src)
+		checkLexPrecedence(t, src, err)
 		if err != nil {
 			return
 		}

@@ -10,6 +10,15 @@
 //     lowers it to a flow graph.
 //
 // Both share one lexer and one expression grammar.
+//
+// The lexer streams: the grammar reads tokens through a cursor with one
+// token of lookahead (peek and next), and no token slice is ever built.
+// Token texts are substrings of the source or constants. Lexing still
+// behaves as if the whole source were lexed before parsing began: when
+// a parse or validation error is found, the cursor lexes the rest of
+// the source, and a lex error anywhere in it is the error returned. So
+// the error a caller sees does not depend on where the grammar stopped
+// reading, and is the same as from the lex-everything-first parser.
 package parser
 
 import (
@@ -89,31 +98,14 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer turns source text into tokens one at a time. Token texts are
+// substrings of the source or constants, never copies, except for the
+// decoded text of string literals.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 	col  int
-	toks []Token
-}
-
-// lex tokenizes src. Newlines and semicolons become TokSemi (runs are
-// merged). Comments run from '//' or '#' to end of line.
-func lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Kind == TokSemi && len(l.toks) > 0 && l.toks[len(l.toks)-1].Kind == TokSemi {
-			continue // merge separator runs
-		}
-		l.toks = append(l.toks, tok)
-		if tok.Kind == TokEOF {
-			return l.toks, nil
-		}
-	}
 }
 
 func (l *lexer) errf(format string, args ...any) error {
@@ -169,7 +161,7 @@ func (l *lexer) next() (Token, error) {
 	}
 	switch {
 	case c == '\n' || c == ';':
-		return mk(TokSemi, string(c)), nil
+		return mk(TokSemi, l.src[l.pos-1:l.pos]), nil
 	case c == '{':
 		return mk(TokLBrace, "{"), nil
 	case c == '}':
@@ -189,19 +181,15 @@ func (l *lexer) next() (Token, error) {
 	case c == '*':
 		return mk(TokStar, "*"), nil
 	case c == '+' || c == '-' || c == '/' || c == '%':
-		return mk(TokOp, string(c)), nil
-	case c == '=' || c == '!':
+		return mk(TokOp, l.src[l.pos-1:l.pos]), nil
+	case c == '=' || c == '!' || c == '<' || c == '>':
+		start := l.pos - 1
 		if n, ok := l.peekByte(); ok && n == '=' {
 			l.advance()
-			return mk(TokOp, string(c)+"="), nil
+		} else if c == '=' || c == '!' {
+			return Token{}, l.errf("unexpected %q (expected %q)", string(c), string(c)+"=")
 		}
-		return Token{}, l.errf("unexpected %q (expected %q)", string(c), string(c)+"=")
-	case c == '<' || c == '>':
-		if n, ok := l.peekByte(); ok && n == '=' {
-			l.advance()
-			return mk(TokOp, string(c)+"="), nil
-		}
-		return mk(TokOp, string(c)), nil
+		return mk(TokOp, l.src[start:l.pos]), nil
 	case c == '"':
 		var sb strings.Builder
 		for {

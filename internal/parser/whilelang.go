@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 
 	"pdce/internal/cfg"
 	"pdce/internal/ir"
@@ -77,13 +78,9 @@ func MustParseSource(name, src string) *cfg.Graph {
 
 // ParseSourceAST parses a WHILE-language program to its AST.
 func ParseSourceAST(src string) ([]SrcStmt, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	t := &tokens{list: toks}
+	t := newTokens(src)
 	stmts, err := parseStmtList(t, TokEOF)
-	if err != nil {
+	if err = t.finish(err); err != nil {
 		return nil, err
 	}
 	return stmts, nil
@@ -231,7 +228,7 @@ type lowerer struct {
 
 func (lw *lowerer) newBlock() *cfg.Node {
 	lw.seq++
-	return lw.g.AddNode(fmt.Sprintf("b%d", lw.seq))
+	return lw.g.AddNode("b" + strconv.Itoa(lw.seq))
 }
 
 // lowerList lowers stmts starting in block cur and returns the block
